@@ -32,11 +32,11 @@ var (
 )
 
 // scratch is the pooled per-call working set of RecommendContext: the flat
-// utility arena the batch rows slice into, the row headers, and the
-// similarity-vector buffer used on the SimilaritySource path. Pooling it
-// (capacity is kept across calls, grown only when a larger batch arrives)
-// makes the steady-state serving path allocation-free up to the returned
-// recommendation lists themselves.
+// utility arena the batch rows slice into and the row headers (dense path
+// only; a Ranker pools its own), and the similarity-vector buffer used on
+// the SimilaritySource path. Pooling it (capacity is kept across calls,
+// grown only when a larger batch arrives) makes the steady-state serving
+// path allocation-free up to the returned recommendation lists themselves.
 type scratch struct {
 	flat []float64
 	rows [][]float64
@@ -59,6 +59,25 @@ func init() {
 func getScratch() *scratch {
 	scratchPoolGets.Add(1)
 	return scratchPool.Get().(*scratch)
+}
+
+// arena returns bs rows of items utilities each, windows into one flat
+// buffer, so one grow covers the whole batch and steady-state calls reuse
+// the capacity.
+//
+//sociolint:hotpath
+func (sc *scratch) arena(bs, items int) [][]float64 {
+	if need := bs * items; cap(sc.flat) < need {
+		sc.flat = make([]float64, need)
+	}
+	if cap(sc.rows) < bs {
+		sc.rows = make([][]float64, bs)
+	}
+	rows := sc.rows[:bs]
+	for i := range rows {
+		rows[i] = sc.flat[i*items : (i+1)*items : (i+1)*items]
+	}
+	return rows
 }
 
 //sociolint:hotpath
@@ -107,28 +126,69 @@ func TopN(utilities []float64, n int, minUtility float64) []Recommendation {
 	if n <= 0 {
 		return nil
 	}
-	// Bounded selection: maintain the current worst of the best n at
-	// h[0] (a min-heap ordered by (utility, inverted item id)). The heap
-	// operations are methods, not closures, so the only allocation per
-	// call is the result slice itself.
-	h := make(topHeap, 0, n)
-	for item, u := range utilities {
+	h := NewTopHeap(min(n, len(utilities)))
+	h.PushRow(0, utilities, minUtility)
+	return h.Sorted()
+}
+
+// TopHeap is the bounded selection behind TopN, exported so that a Ranker
+// selects with exactly TopN's order: it keeps the best cap(h) offers, with
+// the current worst of them at h[0] (a min-heap ordered by utility, then
+// by inverted item id). The heap operations are methods, not closures, so
+// the only allocation is the heap itself, which Sorted turns into the
+// result list.
+type TopHeap []Recommendation
+
+// NewTopHeap returns an empty heap that keeps the best n offers.
+//
+//sociolint:hotpath
+func NewTopHeap(n int) TopHeap { return make(TopHeap, 0, n) }
+
+// PushRow offers row[j] as item base+j for every j, skipping utilities
+// ≤ minUtility.
+//
+//sociolint:hotpath
+func (h *TopHeap) PushRow(base int, row []float64, minUtility float64) {
+	s := *h
+	n := cap(s)
+	if n == 0 {
+		return
+	}
+	for j, u := range row {
 		if u <= minUtility {
 			continue
 		}
-		r := Recommendation{Item: int32(item), Utility: u}
-		switch {
-		case len(h) < n:
-			h.push(r)
-		case h.worse(h[0], r):
-			h.replaceMin(r)
+		r := Recommendation{Item: int32(base + j), Utility: u}
+		if len(s) < n {
+			s = s.push(r)
+		} else if s.worse(s[0], r) {
+			s.replaceMin(r)
 		}
 	}
-	// In-place heapsort: repeatedly swap the current minimum to the end and
-	// re-sift. Extracting minima back-to-front leaves the array in
-	// descending order — the output order — without the sort.Interface
-	// boxing a sort.Sort call would allocate. worse() is a strict total
-	// order (item id breaks utility ties), so the result is deterministic.
+	*h = s
+}
+
+// Floor returns the worst recommendation kept and whether the heap is
+// full. Once it is, an offer that does not rank above the floor is
+// dropped, and the floor only ever rises.
+//
+//sociolint:hotpath
+func (h TopHeap) Floor() (Recommendation, bool) {
+	if len(h) == 0 || len(h) < cap(h) {
+		return Recommendation{}, false
+	}
+	return h[0], true
+}
+
+// Sorted heapsorts the heap in place into the output order — descending
+// utility, lower item id first on ties — and returns it. Extracting minima
+// back-to-front leaves the array in descending order without the
+// sort.Interface boxing a sort.Sort call would allocate. worse() is a
+// strict total order (item id breaks utility ties), so the result does
+// not depend on the order of the offers.
+//
+//sociolint:hotpath
+func (h TopHeap) Sorted() []Recommendation {
 	for m := len(h) - 1; m > 0; m-- {
 		h[0], h[m] = h[m], h[0]
 		h[:m].replaceMin(h[0])
@@ -136,13 +196,9 @@ func TopN(utilities []float64, n int, minUtility float64) []Recommendation {
 	return []Recommendation(h)
 }
 
-// topHeap is TopN's bounded min-heap, sorted in place by heapsort into the
-// final output order (descending utility, lower item id first on ties).
-type topHeap []Recommendation
-
 // worse reports whether a ranks strictly below b: lower utility, or a
 // higher item id on equal utility (ties break toward the lower id).
-func (topHeap) worse(a, b Recommendation) bool {
+func (TopHeap) worse(a, b Recommendation) bool {
 	if a.Utility < b.Utility {
 		return true
 	}
@@ -152,22 +208,23 @@ func (topHeap) worse(a, b Recommendation) bool {
 	return a.Item > b.Item
 }
 
-// push sifts r up from the end of the heap.
-func (h *topHeap) push(r Recommendation) {
-	s := append(*h, r)
-	for i := len(s) - 1; i > 0; {
+// push sifts r up from the end of the heap; the caller guarantees spare
+// capacity.
+func (h TopHeap) push(r Recommendation) TopHeap {
+	h = append(h, r)
+	for i := len(h) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !s.worse(s[i], s[p]) {
+		if !h.worse(h[i], h[p]) {
 			break
 		}
-		s[i], s[p] = s[p], s[i]
+		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	*h = s
+	return h
 }
 
 // replaceMin overwrites the heap minimum with r and sifts it down.
-func (h topHeap) replaceMin(r Recommendation) {
+func (h TopHeap) replaceMin(r Recommendation) {
 	h[0] = r
 	for i := 0; ; {
 		l, rgt := 2*i+1, 2*i+2
@@ -186,6 +243,27 @@ func (h topHeap) replaceMin(r Recommendation) {
 	}
 }
 
+// Ranker is an optional Estimator capability: ranking a batch of users'
+// items straight from the released state, without materialising their
+// dense utility rows. RecommendContext uses it when the wired estimator
+// implements it. The lists must be identical to TopN(row, n, math.Inf(-1))
+// over the rows Utilities would write: the same items with bit-identical
+// utilities, in the same order.
+type Ranker interface {
+	Estimator
+	// Bound runs the first ranking phase for users[k] with similarity
+	// vector sims[k] (len(users) == len(sims)) and returns the batch's
+	// state. The caller must call Rank on it exactly once.
+	Bound(users []int32, sims []similarity.Scores) Ranking
+}
+
+// Ranking is one batch's state between the two phases of a Ranker.
+type Ranking interface {
+	// Rank writes the top-n list of the batch's k-th user to out[k]
+	// (len(out) == len(users)) and releases the state.
+	Rank(n int, out [][]Recommendation)
+}
+
 // Recommender generates personalized top-N recommendation lists by running
 // an Estimator over users in bounded-memory batches.
 type Recommender struct {
@@ -193,6 +271,7 @@ type Recommender struct {
 	items   int
 	measure similarity.Measure
 	est     Estimator
+	ranker  Ranker // est, when it can rank without dense rows
 
 	// BatchSize bounds how many dense utility vectors are held in memory
 	// at once; 0 means a default of 256.
@@ -210,7 +289,8 @@ type Recommender struct {
 // NewRecommender wires a recommender from its parts. numItems is |I| of the
 // preference graph the estimator was built from.
 func NewRecommender(social *graph.Social, numItems int, m similarity.Measure, est Estimator) *Recommender {
-	return &Recommender{social: social, items: numItems, measure: m, est: est}
+	ranker, _ := est.(Ranker)
+	return &Recommender{social: social, items: numItems, measure: m, est: est, ranker: ranker}
 }
 
 func (r *Recommender) batchSize() int {
@@ -231,8 +311,9 @@ func (r *Recommender) Recommend(users []int32, n int) ([][]Recommendation, error
 // carries an active trace span (a served request), the three phases of
 // each batch — similarity lookup, cluster-average reconstruction, top-n
 // selection — open child spans, so a slow request names the phase that
-// made it slow. The aggregate telemetry stage timings are recorded either
-// way.
+// made it slow. For a Ranker the reconstruction phase is its Bound pass and
+// the top-n phase its Rank. The aggregate telemetry stage timings are
+// recorded either way.
 //
 //sociolint:hotpath
 func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int) ([][]Recommendation, error) {
@@ -251,19 +332,11 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 	if bs > len(users) {
 		bs = len(users)
 	}
-	// Pooled scratch: rows are windows into one flat arena, so one grow
-	// covers the whole batch and steady-state calls reuse the capacity.
 	sc := getScratch()
 	defer putScratch(sc)
-	if need := bs * r.items; cap(sc.flat) < need {
-		sc.flat = make([]float64, need)
-	}
-	if cap(sc.rows) < bs {
-		sc.rows = make([][]float64, bs)
-	}
-	rows := sc.rows[:bs]
-	for i := range rows {
-		rows[i] = sc.flat[i*r.items : (i+1)*r.items : (i+1)*r.items]
+	var rows [][]float64
+	if r.ranker == nil {
+		rows = sc.arena(bs, r.items)
 	}
 	for start := 0; start < len(users); start += bs {
 		end := start + bs
@@ -288,18 +361,27 @@ func (r *Recommender) RecommendContext(ctx context.Context, users []int32, n int
 		simSpan.End()
 		simTrace.End()
 		recSpan := telemetry.Stages().Start("reconstruction")
-		buf := rows[:len(batch)]
-		for i := range buf {
-			clear(buf[i])
+		if r.ranker != nil {
+			avgTrace := trace.StartLeaf(ctx, "cluster_average", attrUsers.Int(int64(len(batch))))
+			ranking := r.ranker.Bound(batch, sims)
+			avgTrace.End()
+			topTrace := trace.StartLeaf(ctx, "top_n", attrTopN.Int(int64(n)))
+			ranking.Rank(n, out[start:end])
+			topTrace.End()
+		} else {
+			buf := rows[:len(batch)]
+			for i := range buf {
+				clear(buf[i])
+			}
+			avgTrace := trace.StartLeaf(ctx, "cluster_average", attrUsers.Int(int64(len(batch))))
+			r.est.Utilities(batch, sims, buf)
+			avgTrace.End()
+			topTrace := trace.StartLeaf(ctx, "top_n", attrTopN.Int(int64(n)))
+			for i := range batch {
+				out[start+i] = TopN(buf[i], n, math.Inf(-1))
+			}
+			topTrace.End()
 		}
-		avgTrace := trace.StartLeaf(ctx, "cluster_average", attrUsers.Int(int64(len(batch))))
-		r.est.Utilities(batch, sims, buf)
-		avgTrace.End()
-		topTrace := trace.StartLeaf(ctx, "top_n", attrTopN.Int(int64(n)))
-		for i := range batch {
-			out[start+i] = TopN(buf[i], n, math.Inf(-1))
-		}
-		topTrace.End()
 		recSpan.End()
 	}
 	return out, nil

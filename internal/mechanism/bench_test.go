@@ -1,10 +1,13 @@
 package mechanism
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"socialrec/internal/community"
+	"socialrec/internal/core"
 	"socialrec/internal/dp"
 	"socialrec/internal/graph"
 	"socialrec/internal/similarity"
@@ -100,5 +103,46 @@ func BenchmarkNOEUtilities(b *testing.B) {
 			clear(out[k])
 		}
 		noe.Utilities(users, sims, out)
+	}
+}
+
+// rankSink keeps the benchmarked lists live.
+var rankSink []core.Recommendation
+
+// BenchmarkClusterRank measures one user's top-n over the lastfm-like
+// table, served from the released averages: "dense" reconstructs the full
+// Eq. 4 row and selects with core.TopN, "ranked" ranks straight from the
+// table with the block-max ranker. Users cycle through a fixed sample.
+func BenchmarkClusterRank(b *testing.B) {
+	d := lastfmData(b, 1)
+	sample := make([]int32, 0, 64)
+	for u := 0; u < len(d.users); u += len(d.users) / 64 {
+		sample = append(sample, d.users[u])
+	}
+	for _, p := range []struct {
+		eps dp.Epsilon
+		n   int
+	}{{1, 10}, {1, 100}, {0.1, 10}, {0.1, 100}} {
+		est := d.served(b, p.eps, 11)
+		name := fmt.Sprintf("eps=%v/n=%d", p.eps, p.n)
+		b.Run(name+"/dense", func(b *testing.B) {
+			row := [][]float64{make([]float64, d.prefs.NumItems())}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				u := sample[i%len(sample)]
+				clear(row[0])
+				est.Utilities(d.users[u:u+1], d.sims[u:u+1], row)
+				rankSink = core.TopN(row[0], p.n, math.Inf(-1))
+			}
+		})
+		b.Run(name+"/ranked", func(b *testing.B) {
+			out := make([][]core.Recommendation, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				u := sample[i%len(sample)]
+				est.Bound(d.users[u:u+1], d.sims[u:u+1]).Rank(p.n, out)
+				rankSink = out[0]
+			}
+		})
 	}
 }

@@ -8,10 +8,10 @@
 # checkpointed offline pipeline and the budget journal (scripts/
 # resume_chaos.sh), the crash/recovery matrix for the streaming update
 # path (scripts/wal_chaos.sh), the router chaos smoke for the sharded
-# serving tier (scripts/router_chaos.sh), and a short fuzz smoke over the dataset and
-# release parsers. Every step must pass; the first failure aborts with a non-zero
-# exit. `make ci` is the one-command entry point, locally and in any future
-# pipeline.
+# serving tier (scripts/router_chaos.sh), and a short fuzz smoke over the
+# dataset and release parsers and the cluster ranker. Every step must pass;
+# the first failure aborts with a non-zero exit. `make ci` is the one-command
+# entry point, locally and in any future pipeline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -83,5 +83,6 @@ step "fuzz smoke (10s per target)"
 go test -run='^$' -fuzz='^FuzzReadSocialTSV$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzReadPreferenceTSV$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=10s ./internal/release
+go test -run='^$' -fuzz='^FuzzClusterRank$' -fuzztime=10s ./internal/mechanism
 
 printf '\nci: all gates passed\n'
