@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadPreferenceTSV$$' -fuzztime=10s ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/release
 	$(GO) test -run='^$$' -fuzz='^FuzzClusterRank$$' -fuzztime=10s ./internal/mechanism
+	$(GO) test -run='^$$' -fuzz='^FuzzUpdaterSnapshot$$' -fuzztime=10s ./internal/dynamic
 
 # chaos drives the hardened server benchmark under -race with mixed
 # error/panic/latency fault injection; it fails on any escaped panic,

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"socialrec/internal/community"
@@ -131,13 +131,15 @@ type Decision struct {
 	Reason string
 }
 
-// graphState is the mutable adjacency the WAL replays into. Preference
-// adjacency is the private data; it never leaves this process except
-// through the DP mechanism.
+// graphState is the mutable adjacency the WAL replays into: one sorted,
+// duplicate-free row per user, updated in place by binary search, so a
+// snapshot is a straight copy into CSR form. Preference adjacency is the
+// private data; it never leaves this process except through the DP
+// mechanism.
 type graphState struct {
 	items  int
-	social []map[int32]struct{}
-	prefs  []map[int32]struct{}
+	social [][]int32
+	prefs  [][]int32
 }
 
 func newGraphState(social *graph.Social, prefs *graph.Preference) (*graphState, error) {
@@ -153,24 +155,48 @@ func newGraphState(social *graph.Social, prefs *graph.Preference) (*graphState, 
 		return nil, fmt.Errorf("dynamic: base snapshot has %d social users but %d preference users",
 			n, prefs.NumUsers())
 	}
-	st.social = make([]map[int32]struct{}, n)
-	st.prefs = make([]map[int32]struct{}, n)
-	for u := 0; u < n; u++ {
-		st.social[u] = make(map[int32]struct{})
-		st.prefs[u] = make(map[int32]struct{})
-		for _, v := range social.Neighbors(u) {
-			st.social[u][v] = struct{}{}
-		}
-		if prefs != nil {
-			for _, it := range prefs.Items(u) {
-				st.prefs[u][it] = struct{}{}
-			}
-		}
-	}
+	st.social = copyRows(n, social.Neighbors)
 	if prefs != nil {
+		st.prefs = copyRows(n, prefs.Items)
 		st.items = prefs.NumItems()
+	} else {
+		st.prefs = make([][]int32, n)
 	}
 	return st, nil
+}
+
+// copyRows copies n rows into one backing array. Each row's capacity ends
+// where the next row starts, so growing a row reallocates it rather than
+// overwriting its neighbour.
+func copyRows(n int, row func(int) []int32) [][]int32 {
+	total := 0
+	for u := 0; u < n; u++ {
+		total += len(row(u))
+	}
+	flat := make([]int32, 0, total)
+	rows := make([][]int32, n)
+	for u := range rows {
+		start := len(flat)
+		flat = append(flat, row(u)...)
+		rows[u] = flat[start:len(flat):len(flat)]
+	}
+	return rows
+}
+
+// insertSorted adds v to a sorted row unless present.
+func insertSorted(row []int32, v int32) []int32 {
+	if i, ok := slices.BinarySearch(row, v); !ok {
+		return slices.Insert(row, i, v)
+	}
+	return row
+}
+
+// removeSorted deletes v from a sorted row if present.
+func removeSorted(row []int32, v int32) []int32 {
+	if i, ok := slices.BinarySearch(row, v); ok {
+		return slices.Delete(row, i, i+1)
+	}
+	return row
 }
 
 func (st *graphState) users() int { return len(st.social) }
@@ -187,8 +213,8 @@ func (st *graphState) apply(rec wal.Record) ([]int32, error) {
 		if rec.A != int64(st.users()) {
 			return nil, fmt.Errorf("dynamic: wal record %d (%s): non-dense user id", rec.Seq, rec.Op)
 		}
-		st.social = append(st.social, make(map[int32]struct{}))
-		st.prefs = append(st.prefs, make(map[int32]struct{}))
+		st.social = append(st.social, nil)
+		st.prefs = append(st.prefs, nil)
 		return []int32{int32(rec.A)}, nil
 	case wal.OpAddItem:
 		if rec.A != int64(st.items) {
@@ -201,13 +227,12 @@ func (st *graphState) apply(rec wal.Record) ([]int32, error) {
 		if a < 0 || b < 0 || a >= int64(st.users()) || b >= int64(st.users()) || a == b {
 			return nil, bad()
 		}
-		if rec.Op == wal.OpAddSocial {
-			st.social[a][int32(b)] = struct{}{}
-			st.social[b][int32(a)] = struct{}{}
-		} else {
-			delete(st.social[a], int32(b))
-			delete(st.social[b], int32(a))
+		edit := insertSorted
+		if rec.Op == wal.OpDelSocial {
+			edit = removeSorted
 		}
+		st.social[a] = edit(st.social[a], int32(b))
+		st.social[b] = edit(st.social[b], int32(a))
 		return []int32{int32(a), int32(b)}, nil
 	case wal.OpAddPref, wal.OpDelPref:
 		a, b := rec.A, rec.B
@@ -215,37 +240,28 @@ func (st *graphState) apply(rec wal.Record) ([]int32, error) {
 			return nil, bad()
 		}
 		if rec.Op == wal.OpAddPref {
-			st.prefs[a][int32(b)] = struct{}{}
+			st.prefs[a] = insertSorted(st.prefs[a], int32(b))
 		} else {
-			delete(st.prefs[a], int32(b))
+			st.prefs[a] = removeSorted(st.prefs[a], int32(b))
 		}
 		return []int32{int32(a)}, nil
 	}
 	return nil, fmt.Errorf("dynamic: wal record %d: unknown op", rec.Seq)
 }
 
-// snapshot freezes the adjacency into the immutable graph types. The
-// builders sort adjacency, so snapshots are deterministic regardless of
-// map iteration order.
+// snapshot freezes the adjacency into the immutable graph types by
+// copying the rows, which are already sorted and duplicate-free, so the
+// graphs are exactly those the map-deduplicating builders would produce.
 func (st *graphState) snapshot() (*graph.Social, *graph.Preference, error) {
-	n := st.users()
-	sb := graph.NewSocialBuilder(n)
-	pb := graph.NewPreferenceBuilder(n, st.items)
-	for u := 0; u < n; u++ {
-		for v := range st.social[u] {
-			if int32(u) < v {
-				if err := sb.AddEdge(u, int(v)); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		for it := range st.prefs[u] {
-			if err := pb.AddEdge(u, int(it)); err != nil {
-				return nil, nil, err
-			}
-		}
+	social, err := graph.SocialFromRows(st.social)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dynamic: social state: %w", err)
 	}
-	return sb.Build(), pb.Build(), nil
+	prefs, err := graph.PreferenceFromRows(st.prefs, st.items)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dynamic: preference state: %w", err)
+	}
+	return social, prefs, nil
 }
 
 // OpenUpdater validates the configuration, recovers the journaled spend,
@@ -363,7 +379,7 @@ func OpenUpdater(cfg UpdaterConfig) (*Updater, error) {
 			return nil, fmt.Errorf("dynamic: wal ends at %d but journaled publish covers %d (log truncated beyond its release?)",
 				u.appliedSeq, intent.Seq)
 		}
-		if err := u.finishPublish(intent); err != nil {
+		if err := u.recompute(intent); err != nil {
 			return nil, fmt.Errorf("dynamic: finishing crashed publish: %w", err)
 		}
 		u.recomputes.Inc()
@@ -525,7 +541,7 @@ func (u *Updater) Advance() (Decision, error) {
 		u.broken = err
 		return Decision{}, err
 	}
-	if err := u.finishPublish(intent); err != nil {
+	if err := u.finishPublish(intent, social, prefs, plan); err != nil {
 		// The ε is journaled but the artifact did not land. In-process
 		// retry would need a fresh intent (double-counting), so the
 		// updater poisons itself; OpenUpdater finishes this publish
@@ -544,17 +560,31 @@ func (u *Updater) canPublishLocked() bool {
 	return r >= float64(u.cfg.PerRelease)-1e-12
 }
 
-// finishPublish computes and persists the artifact a journaled intent
-// describes, then advances the served lineage. It is the single publish
-// path for both live Advance calls and post-crash recomputation, which is
-// what makes the two produce byte-identical artifacts: the noise seed
-// derives from the release index and the inputs derive from the WAL prefix
-// the intent records.
-func (u *Updater) finishPublish(intent intentState) error {
+// recompute derives the graphs and, for a delta, the plan of a journaled
+// intent whose artifact never landed from the replayed WAL prefix, then
+// finishes the publish.
+func (u *Updater) recompute(intent intentState) error {
 	social, prefs, err := u.st.snapshot()
 	if err != nil {
 		return err
 	}
+	var plan *deltaPlan
+	if intent.Kind == intentDelta && u.published != nil {
+		if plan, err = u.planDelta(social, prefs); err != nil {
+			return err
+		}
+	}
+	return u.finishPublish(intent, social, prefs, plan)
+}
+
+// finishPublish computes and persists the artifact a journaled intent
+// describes from the graphs (and, for a delta, the plan) derived from the
+// WAL prefix the intent records, then advances the served lineage. It is
+// the single publish path for both live Advance calls and post-crash
+// recomputation, which is what makes the two produce byte-identical
+// artifacts: the noise seed derives from the release index and the inputs
+// derive deterministically from the same WAL prefix.
+func (u *Updater) finishPublish(intent intentState, social *graph.Social, prefs *graph.Preference, plan *deltaPlan) error {
 	seed := u.cfg.Seed + int64(intent.Releases-1)*7919
 	var version uint64
 	switch intent.Kind {
@@ -579,15 +609,11 @@ func (u *Updater) finishPublish(intent intentState) error {
 		u.lineage = release.Lineage{Full: version}
 		u.deltaChain = 0
 	case intentDelta:
-		if u.published == nil {
+		if u.published == nil || plan == nil {
 			return fmt.Errorf("dynamic: delta intent with no published base")
 		}
 		if got := u.lineage.Version(); got != intent.Base {
 			return fmt.Errorf("dynamic: delta intent chains to version %d but store serves %d", intent.Base, got)
-		}
-		plan, err := u.planDelta(social, prefs)
-		if err != nil {
-			return err
 		}
 		rows, err := mechanism.DeltaRows(context.Background(), plan.repaired, prefs,
 			plan.fresh, u.cfg.PerRelease, dp.SourceFor(u.cfg.PerRelease, seed+1))
@@ -627,7 +653,7 @@ func (u *Updater) finishPublish(intent intentState) error {
 			version, intent.Version)
 	}
 	u.pubSeq = intent.Seq
-	u.touched = make(map[int32]struct{})
+	clear(u.touched)
 	u.publishes.Inc()
 	return nil
 }
@@ -658,7 +684,7 @@ func (u *Updater) planDelta(social *graph.Social, prefs *graph.Preference) (*del
 	}
 	// Map order is random; Repair's move order is not. Sort for
 	// determinism across recomputations.
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
+	slices.Sort(touched)
 	repaired, err := community.Repair(social, base, touched, community.Options{})
 	if err != nil {
 		return nil, err

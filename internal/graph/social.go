@@ -10,6 +10,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -84,10 +85,63 @@ func (b *SocialBuilder) Build() *Social {
 		next[v]++
 	}
 	for u := 0; u < b.numUsers; u++ {
-		s := adj[off[u]:off[u+1]]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		slices.Sort(adj[off[u]:off[u+1]])
 	}
 	return &Social{off: off, adj: adj}
+}
+
+// SocialFromRows builds the Social graph whose neighbor list Γ(u) is
+// rows[u], copying the rows into CSR form in O(V+E) with no hashing or
+// sorting. Each row must be strictly ascending, within [0, len(rows)) and
+// free of u itself, and the rows must be symmetric (v ∈ rows[u] iff
+// u ∈ rows[v]); a violation is reported as an error, never repaired.
+func SocialFromRows(rows [][]int32) (*Social, error) {
+	n := len(rows)
+	off, err := rowOffsets(rows)
+	if err != nil {
+		return nil, err
+	}
+	adj := make([]int32, 0, off[n])
+	for _, r := range rows {
+		adj = append(adj, r...)
+	}
+	// Symmetry in one pass: visiting u in ascending order consumes each
+	// row v's entries in ascending order too, so next[v] must point at u
+	// whenever v ∈ rows[u], and every row must be consumed exactly.
+	next := make([]int32, n)
+	for u, r := range rows {
+		prev := int32(-1)
+		for _, v := range r {
+			if v <= prev || int(v) >= n || int(v) == u {
+				return nil, fmt.Errorf("graph: social row %d not strictly ascending within [0, %d) without self-loops", u, n)
+			}
+			prev = v
+			k := off[v] + next[v]
+			if k >= off[v+1] || adj[k] != int32(u) {
+				return nil, fmt.Errorf("graph: social rows not symmetric at (%d, %d)", u, v)
+			}
+			next[v]++
+		}
+	}
+	for v := range rows {
+		if off[v]+next[v] != off[v+1] {
+			return nil, fmt.Errorf("graph: social row %d has neighbors that do not list it", v)
+		}
+	}
+	return &Social{off: off, adj: adj}, nil
+}
+
+// rowOffsets returns the CSR offsets of rows, refusing a total that
+// overflows the int32 offsets.
+func rowOffsets(rows [][]int32) ([]int32, error) {
+	off := make([]int32, len(rows)+1)
+	for u, r := range rows {
+		if len(r) > math.MaxInt32-int(off[u]) {
+			return nil, fmt.Errorf("graph: more than %d adjacency entries", math.MaxInt32)
+		}
+		off[u+1] = off[u] + int32(len(r))
+	}
+	return off, nil
 }
 
 // NumUsers reports |U|.

@@ -84,5 +84,6 @@ go test -run='^$' -fuzz='^FuzzReadSocialTSV$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzReadPreferenceTSV$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=10s ./internal/release
 go test -run='^$' -fuzz='^FuzzClusterRank$' -fuzztime=10s ./internal/mechanism
+go test -run='^$' -fuzz='^FuzzUpdaterSnapshot$' -fuzztime=10s ./internal/dynamic
 
 printf '\nci: all gates passed\n'
